@@ -11,6 +11,8 @@ import (
 // compact and classic <!ELEMENT> notation go through it). The parser
 // must reject garbage with an error — never panic, never hang: the
 // nesting-depth and input-size limits bound the work on any input.
+// Whatever it accepts, its canonical rendering must parse back to the
+// same declarations and Fingerprint.
 func FuzzParseSchema(f *testing.F) {
 	seeds := []string{
 		xmark.SchemaText,
@@ -21,6 +23,9 @@ func FuzzParseSchema(f *testing.F) {
 		"r <- (x | y | z)*\nx <- (x | y | z)*\ny <- (x | y | z)*\nz <- #PCDATA",
 		"a <- ((((((b))))))\nb <- ()",
 		"a <- b+, c*\nb <- ()\nc <- ()",
+		"a <- start\nstart <- #PCDATA",
+		"start start\na <- start\nstart <- a?",
+		"a[x] <- b*\nb[x] <- #PCDATA",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -33,5 +38,7 @@ func FuzzParseSchema(f *testing.F) {
 		if d == nil {
 			t.Fatal("Parse returned nil DTD with nil error")
 		}
+		// parse(print(d)) has the same declarations and Fingerprint.
+		checkReparse(t, d)
 	})
 }

@@ -71,8 +71,11 @@ func parseCompact(input string, lim guard.Limits) (*DTD, error) {
 		if line == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "start "); ok {
-			start = strings.TrimSpace(rest)
+		// The start directive is exactly "start NAME"; anything else
+		// beginning with "start" is a declaration (a type may be named
+		// start, and DTD.String prints it as "start <- ...").
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "start" && checkName(f[1]) == nil {
+			start = f[1]
 			continue
 		}
 		lhs, rhs, ok := strings.Cut(line, "<-")

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Cache is a bounded LRU of prepared plans keyed by (schema
@@ -12,25 +13,33 @@ import (
 // purge→rebuild behavior is reproducible under chaos schedules, cold
 // builds outside the lock so a slow inference never blocks hits on
 // other plans, and verify-on-hit so a resident that fails its content
-// checksum is dropped and rebuilt instead of served.
+// checksum is dropped and rebuilt instead of served. A hit holds mu
+// only for the map probe and the LRU move; Verify runs after the
+// unlock, so hits on different plans (or the same plan) proceed in
+// parallel.
 type Cache struct {
 	mu  sync.Mutex
 	max int
-	m   map[string]*list.Element
+	m   map[planKey]*list.Element
 	// lru orders residents most-recently-hit first; Back() is the
 	// eviction victim. Element values are *planEntry.
-	lru            list.List
-	hits           int64
-	misses         int64
-	evictions      int64
-	purges         int64
-	verifyFailures int64
+	lru       list.List
+	evictions int64
+	purges    int64
+	// Bumped outside mu.
+	hits           atomic.Int64
+	misses         atomic.Int64
+	verifyFailures atomic.Int64
+}
+
+type planKey struct {
+	schemaFP string
+	pairFP   string
 }
 
 type planEntry struct {
-	key      string
-	schemaFP string
-	ce       *CompiledExpr
+	key planKey
+	ce  *CompiledExpr
 }
 
 // NewCache returns a cache holding at most max plans (minimum 1).
@@ -38,12 +47,10 @@ func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	pc := &Cache{max: max, m: make(map[string]*list.Element)}
+	pc := &Cache{max: max, m: make(map[planKey]*list.Element)}
 	pc.lru.Init()
 	return pc
 }
-
-func cacheKey(schemaFP, pairFP string) string { return schemaFP + "/" + pairFP }
 
 // Get returns the resident plan for the key, building and caching one
 // on first sight. The build closure runs outside the lock and may
@@ -59,25 +66,18 @@ func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*Comp
 	if pc == nil {
 		return build(), false
 	}
-	key := cacheKey(schemaFP, pairFP)
-	pc.mu.Lock()
-	if el := pc.m[key]; el != nil {
-		ent := el.Value.(*planEntry)
-		if err := ent.ce.Verify(); err != nil {
-			// Corrupted resident: drop it and fall through to a fresh
-			// build. The failure is counted so /statz surfaces it.
-			pc.verifyFailures++
-			pc.lru.Remove(el)
-			delete(pc.m, key)
-		} else {
-			pc.hits++
-			pc.lru.MoveToFront(el)
-			pc.mu.Unlock()
-			return ent.ce, true
+	key := planKey{schemaFP: schemaFP, pairFP: pairFP}
+	if el, ce := pc.lookup(key); el != nil {
+		if ce.Verify() == nil {
+			pc.hits.Add(1)
+			return ce, true
 		}
+		// Corrupted resident: drop it and fall through to a fresh
+		// build. The failure is counted so /statz surfaces it.
+		pc.verifyFailures.Add(1)
+		pc.dropIfResident(key, el)
 	}
-	pc.misses++
-	pc.mu.Unlock()
+	pc.misses.Add(1)
 
 	ce := build()
 
@@ -95,8 +95,34 @@ func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*Comp
 		delete(pc.m, victim.Value.(*planEntry).key)
 		pc.evictions++
 	}
-	pc.m[key] = pc.lru.PushFront(&planEntry{key: key, schemaFP: schemaFP, ce: ce})
+	pc.m[key] = pc.lru.PushFront(&planEntry{key: key, ce: ce})
 	return ce, false
+}
+
+// lookup probes for the key and marks a resident most recently hit.
+// It returns the resident's element (nil on a miss) and plan.
+func (pc *Cache) lookup(key planKey) (*list.Element, *CompiledExpr) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el := pc.m[key]
+	if el == nil {
+		return nil, nil
+	}
+	pc.lru.MoveToFront(el)
+	return el, el.Value.(*planEntry).ce
+}
+
+// dropIfResident evicts el if it is still the resident for key. A
+// plan that failed Verify outside the lock may have been replaced by
+// a fresh build in the meantime; the stale failure must not evict the
+// replacement.
+func (pc *Cache) dropIfResident(key planKey, el *list.Element) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.m[key] == el {
+		pc.lru.Remove(el)
+		delete(pc.m, key)
+	}
 }
 
 // Purge drops the resident plan for the key, reporting whether one
@@ -107,7 +133,7 @@ func (pc *Cache) Purge(schemaFP, pairFP string) bool {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el := pc.m[cacheKey(schemaFP, pairFP)]
+	el := pc.m[planKey{schemaFP: schemaFP, pairFP: pairFP}]
 	if el == nil {
 		return false
 	}
@@ -133,7 +159,7 @@ func (pc *Cache) PurgeSchema(schemaFP string) int {
 	for el := pc.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*planEntry)
-		if ent.schemaFP == schemaFP {
+		if ent.key.schemaFP == schemaFP {
 			pc.lru.Remove(el)
 			delete(pc.m, ent.key)
 			pc.purges++
@@ -176,16 +202,16 @@ func (pc *Cache) Stats() CacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	st := CacheStats{
-		Hits:           pc.hits,
-		Misses:         pc.misses,
+		Hits:           pc.hits.Load(),
+		Misses:         pc.misses.Load(),
 		Evictions:      pc.evictions,
 		Purges:         pc.purges,
-		VerifyFailures: pc.verifyFailures,
+		VerifyFailures: pc.verifyFailures.Load(),
 		Resident:       int64(pc.lru.Len()),
 	}
 	perSchema := make(map[string]int)
 	for el := pc.lru.Front(); el != nil; el = el.Next() {
-		perSchema[el.Value.(*planEntry).schemaFP]++
+		perSchema[el.Value.(*planEntry).key.schemaFP]++
 	}
 	for fp, n := range perSchema {
 		st.Schemas = append(st.Schemas, SchemaPlanStat{Fingerprint: fp, Plans: n})

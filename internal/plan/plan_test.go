@@ -3,6 +3,7 @@ package plan_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xqindep/internal/dtd"
@@ -114,12 +115,23 @@ func TestCorruptCloneFailsVerifyResidentIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := ce.CorruptClone(3)
-	if err := cc.Verify(); err == nil {
-		t.Fatal("corrupted clone passes Verify")
+	cc := ce.CorruptClone()
+	if cc == ce {
+		t.Fatal("CorruptClone returned the resident itself")
 	}
-	if cc.Verdict().Independent == ce.Verdict().Independent {
+	// The damage is exactly the flipped decision under a stale seal.
+	got, want := cc.Verdict(), ce.Verdict()
+	if got.Independent == want.Independent {
 		t.Fatal("corrupted clone did not flip the verdict")
+	}
+	if got.K != want.K || strings.Join(got.Reasons, ",") != strings.Join(want.Reasons, ",") {
+		t.Fatalf("corrupted clone changed more than the decision: %+v vs %+v", got, want)
+	}
+	if cc.Checksum() != ce.Checksum() {
+		t.Fatal("corrupted clone was resealed")
+	}
+	if err := cc.Verify(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("corrupted clone: Verify = %v, want a checksum mismatch", err)
 	}
 	if err := ce.Verify(); err != nil {
 		t.Fatalf("original damaged by CorruptClone: %v", err)
@@ -128,6 +140,59 @@ func TestCorruptCloneFailsVerifyResidentIntact(t *testing.T) {
 		if err := r.Verify(); err != nil {
 			t.Fatalf("resident damaged by CorruptClone: %v", err)
 		}
+	}
+}
+
+// TestResidentVerdictIsFactsOnly pins the slim artifact: a resident
+// keeps the decision, k and the conflict reasons, and none of the
+// chain sets they were inferred from.
+func TestResidentVerdictIsFactsOnly(t *testing.T) {
+	c := compiled(t)
+	cache := plan.NewCache(16)
+	for _, p := range [][2]string{
+		{"//title", "delete //price"},
+		{"//title", "delete //title"},
+	} {
+		if _, _, err := prepare(cache, c, p[0], p[1], guard.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := cache.Residents()
+	if len(res) != 2 {
+		t.Fatalf("%d residents, want 2", len(res))
+	}
+	for _, r := range res {
+		v := r.Verdict()
+		if v.Query.Ret != nil || v.Query.Used != nil || v.Query.Elem != nil || v.Update != nil {
+			t.Fatalf("resident %s retains chain sets", r.PairFingerprint())
+		}
+		if v.K != r.K() || v.Independent != (len(v.Reasons) == 0) {
+			t.Fatalf("resident facts inconsistent: %+v, k=%d", v, r.K())
+		}
+	}
+}
+
+// TestWarmHitAllocs pins the verified hit path of Cache.Get: the
+// probe, the LRU move and Verify allocate nothing.
+func TestWarmHitAllocs(t *testing.T) {
+	c := compiled(t)
+	cache := plan.NewCache(16)
+	ce, _, err := prepare(cache, c, "//title", "delete //price", guard.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemaFP, pairFP := ce.SchemaFingerprint(), ce.PairFingerprint()
+	build := func() *plan.CompiledExpr {
+		t.Fatal("warm hit ran the builder")
+		return nil
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, warm := cache.Get(schemaFP, pairFP, build); !warm {
+			t.Fatal("resident plan missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Cache.Get allocates %.1f times per hit, want 0", allocs)
 	}
 }
 

@@ -33,8 +33,16 @@ func FingerprintUpdate(u Update) string {
 }
 
 // FingerprintPair combines the query and update fingerprints into the
-// pair key the plan cache uses. The domain separators keep a pair
-// fingerprint from colliding with either side's own fingerprint.
+// pair key the plan cache uses.
 func FingerprintPair(q Query, u Update) string {
-	return fingerprint("p", FingerprintQuery(q)+"\x00"+FingerprintUpdate(u))
+	return PairKey(FingerprintQuery(q), FingerprintUpdate(u))
+}
+
+// PairKey derives the pair key from the two side fingerprints
+// (FingerprintQuery, FingerprintUpdate), so a caller that already
+// holds them need not normalize and print either side again. The
+// domain separators keep a pair key from colliding with either side's
+// own fingerprint.
+func PairKey(qfp, ufp string) string {
+	return fingerprint("p", qfp+"\x00"+ufp)
 }

@@ -8,6 +8,8 @@ package xquery_test
 // fails here first.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"xqindep/internal/xmark"
@@ -142,5 +144,44 @@ func TestFingerprintStability(t *testing.T) {
 	q2, u2 := xquery.MustParseQuery(`//person`), xquery.MustParseUpdate(`delete //item`)
 	if xquery.FingerprintPair(q1, u1) == xquery.FingerprintPair(q2, u2) {
 		t.Error("pair fingerprint ignores component roles")
+	}
+}
+
+// legacyKey is the fingerprint construction plan keys have always
+// used, written out with hash/fnv: FNV-1a over domain, NUL, payload.
+func legacyKey(domain, payload string) string {
+	h := fnv.New64a()
+	h.Write([]byte(domain))
+	h.Write([]byte{0})
+	h.Write([]byte(payload))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPairKeyMatchesFingerprintPair: over every XMark view × update,
+// the pair key derived from the two side fingerprints equals
+// FingerprintPair byte for byte, and both equal the key the plan
+// cache has always derived from the normalized sides — so deriving
+// the pair key from side fingerprints changes no plan key.
+func TestPairKeyMatchesFingerprintPair(t *testing.T) {
+	for _, v := range xmark.Views() {
+		qfp := xquery.FingerprintQuery(v.AST)
+		nq := xquery.Normalize(v.AST)
+		if want := legacyKey("q", xquery.CanonicalQuery(nq)); qfp != want {
+			t.Fatalf("%s: query fingerprint %s, want %s", v.Name, qfp, want)
+		}
+		for _, u := range xmark.Updates() {
+			ufp := xquery.FingerprintUpdate(u.AST)
+			nu := xquery.NormalizeUpdate(u.AST)
+			key := xquery.PairKey(qfp, ufp)
+			if pair := xquery.FingerprintPair(v.AST, u.AST); key != pair {
+				t.Fatalf("%s × %s: PairKey %s, FingerprintPair %s", v.Name, u.Name, key, pair)
+			}
+			legacy := legacyKey("p",
+				legacyKey("q", xquery.CanonicalQuery(xquery.Normalize(nq)))+"\x00"+
+					legacyKey("u", xquery.CanonicalUpdate(xquery.NormalizeUpdate(nu))))
+			if key != legacy {
+				t.Fatalf("%s × %s: PairKey %s, legacy plan key %s", v.Name, u.Name, key, legacy)
+			}
+		}
 	}
 }

@@ -59,6 +59,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== perfbench self-test (separate module)"
+# perfbench is its own module, so the root go test ./... never builds
+# it; an internal API change could break the benchmark unnoticed. The
+# self-test runs a minimal pass of every workload (~12 s).
+(cd perfbench && GOWORK=off GOPROXY=off go test .)
+
 echo "== bench smoke (compiled-schema + prepared-plan comparisons, 1 iteration)"
 # One iteration only — this proves the engine/phase and cold/warm
 # benchmarks still compile and run; BENCH_compiledschema.json and
