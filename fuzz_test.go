@@ -3,11 +3,17 @@ package xqindep
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"xqindep/internal/cdag"
+	"xqindep/internal/guard"
+	"xqindep/internal/infer"
+	"xqindep/internal/refcdag"
 	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
 )
 
 // FuzzAnalyzeContext drives the whole engine — schema, query and
@@ -26,6 +32,15 @@ func FuzzAnalyzeContext(f *testing.F) {
 	f.Add(recursive, "//x//y//x//y//z", "delete //y//x//y//x//z")
 	f.Add(xmark.SchemaText, "/site/people/person/name", "delete //price")
 	f.Add(xmark.SchemaText, "//closed_auction//keyword", "for $p in /site/people/person return delete $p/homepage")
+	// Update for-loops the dense engine infers set-wise, and the two
+	// per-end shapes whose set-wise inference would differ.
+	const rbench3 = "t1 <- (t1 | t2 | t3)*\nt2 <- (t1 | t2 | t3)*\nt3 <- (t1 | t2 | t3)*"
+	f.Add(xmark.SchemaText, "//closed_auction//emph", "for $x in //closed_auction//bold return rename $x as emph")
+	f.Add(rbench3, "//t2", "for $x in //t2 return (rename $x as t3, insert <new/> into $x)")
+	f.Add(rbench3, "for $y in //t3 return $y/..", "for $x in //t1//t2 return replace $x with <t1/>")
+	f.Add(rbench3, "/t1//new", "for $x in //t2 return insert /t1/t2 as last into $x")
+	f.Add(rbench3, "//t1/t3", "for $x in //t2 return insert <new/> as first into $x/t2")
+	f.Add(rbench3, "//t2//t1", "for $x in //t2 return (delete $x/t1, rename $x//t3 as t1)")
 
 	methods := []Method{Chains, ChainsExact, Types, Paths}
 	lim := Limits{MaxK: 6, MaxChains: 1 << 12, MaxNodes: 1 << 14}
@@ -56,6 +71,28 @@ func FuzzAnalyzeContext(f *testing.F) {
 			if rep.Degraded && !errors.Is(rep.Err, ErrBudgetExceeded) {
 				t.Fatalf("degraded verdict without a budget error: %+v", rep)
 			}
+		}
+		// Engine differential: the dense CDAG engine (set-wise update
+		// for-loops) and the per-end reference must agree on the
+		// verdict and its reasons whenever both finish in budget.
+		if !xquery.QuasiClosedQuery(q.ast) || !xquery.QuasiClosedUpdate(u.ast) || infer.KPair(q.ast, u.ast) > lim.MaxK {
+			return
+		}
+		var dense cdag.Verdict
+		derr := guard.Do(func() { dense = cdag.IndependenceBudget(s.d, q.ast, u.ast, guard.New(ctx, lim)) })
+		var ref refcdag.Verdict
+		rerr := guard.Do(func() { ref = refcdag.IndependenceBudget(s.d, q.ast, u.ast, guard.New(ctx, lim)) })
+		for _, err := range []error{derr, rerr} {
+			var ie *InternalError
+			if errors.As(err, &ie) {
+				t.Fatalf("internal error in a CDAG engine:\nschema: %q\nquery: %q\nupdate: %q\n%v", ds, qs, us, err)
+			}
+		}
+		if derr != nil || rerr != nil {
+			return
+		}
+		if dense.Independent != ref.Independent || !reflect.DeepEqual(dense.Reasons, ref.Reasons) {
+			t.Fatalf("engines disagree:\nschema: %q\nquery: %q\nupdate: %q\ndense: %v\nreference: %v", ds, qs, us, dense, ref)
 		}
 	})
 }

@@ -236,6 +236,56 @@ func navigational(q xquery.Query, v string) bool {
 	}
 }
 
+// distributesOverBinding reports whether update body u, run under a
+// for-loop over v, distributes over v's bindings: u is a primitive
+// (delete, rename, insert, replace) or a sequence of them, every
+// target is exactly v (v itself or v/self::node()), and no source
+// mentions v. Each primitive rule is then a union over the target's
+// end nodes of a contribution that depends only on the node and the
+// edges into it, so one inference over the union of the binding cones
+// equals the union of the per-binding inferences. A target navigating
+// from v is excluded: a binding end lying on another binding's chain
+// would let the navigation reach through merged nodes that no single
+// binding's cone contains.
+//
+//xqvet:ignore budgetpoints structural recursion on the parsed AST, depth-bounded by guard's parser limits
+func distributesOverBinding(u xquery.Update, v string) bool {
+	switch n := u.(type) {
+	case xquery.USeq:
+		return distributesOverBinding(n.Left, v) && distributesOverBinding(n.Right, v)
+	case xquery.Delete:
+		return isVar(n.Target, v)
+	case xquery.Rename:
+		return isVar(n.Target, v)
+	case xquery.Insert:
+		return isVar(n.Target, v) && !mentions(n.Source, v)
+	case xquery.Replace:
+		return isVar(n.Target, v) && !mentions(n.Source, v)
+	default:
+		return false
+	}
+}
+
+// isVar reports whether q denotes exactly the binding of v: $v or
+// $v/self::node().
+func isVar(q xquery.Query, v string) bool {
+	switch n := q.(type) {
+	case xquery.Var:
+		return n.Name == v
+	case xquery.Step:
+		return n.Var == v && n.Axis == xquery.Self && n.Test.Kind == xquery.NodeAny
+	default:
+		return false
+	}
+}
+
+// mentions reports whether v occurs free in q.
+func mentions(q xquery.Query, v string) bool {
+	free := make(map[string]bool)
+	xquery.FreeQueryVars(q, free)
+	return free[v]
+}
+
 func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	inner := e.Query(g, n.Content)
 	out := e.emptyChains()

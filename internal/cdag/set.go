@@ -615,11 +615,28 @@ func (s *Set) prune() *Set {
 // much cheaper than cloning and pruning the whole DAG when the parent
 // set has many endpoints.
 func (s *Set) subWithEnd(n Node) *Set {
+	ends := make([]bitset.Set, n.Depth+1)
+	ends[n.Depth].Add(int(n.Sym))
+	return s.backCone(ends)
+}
+
+// backCone returns the backward cone of the given endpoints (ends[d]
+// holds those at depth d; at least one row): exactly the edges on
+// paths into them, with them as the only endpoints.
+// Backward reachability is a union over its sources, so the cone of
+// several endpoints is the union of their subWithEnd cones — which is
+// what lets a set-wise (FOR) iteration stand in for a per-end one.
+func (s *Set) backCone(ends []bitset.Set) *Set {
 	out := s.eng.NewSet()
-	out.addEnd(n.Depth, n.Sym)
-	cone := make([]bitset.Set, n.Depth+1)
-	cone[n.Depth].Add(int(n.Sym))
-	for d := n.Depth; d > 0; d-- {
+	cone := make([]bitset.Set, len(ends))
+	for d := len(ends) - 1; d >= 0; d-- {
+		if ends[d].Any() {
+			out.endsOr(d, ends[d])
+			cone[d].Or(ends[d])
+		}
+		if d == 0 {
+			break
+		}
 		s.eng.budget.Tick()
 		if d-1 >= len(s.out) {
 			continue

@@ -32,6 +32,14 @@ func (u *UpdateSet) IsEmpty() bool { return u.Full.IsEmpty() }
 
 // Update infers the update-chain DAG of u under Γ, mirroring Table 2
 // (with the same (REPLACE) correction as package infer).
+//
+// A for-loop is inferred once over its whole binding set when its body
+// distributes over the binding (distributesOverBinding: primitives
+// whose target is the loop variable itself, sources that do not
+// mention it); the union of the per-end cones stands in for the
+// separate bindings, with the same result. Every other body runs once
+// per binding endpoint, on that endpoint's backward cone, as the
+// reference engine (internal/refcdag) does for every body.
 func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 	e.budget.Tick()
 	switch n := u.(type) {
@@ -50,6 +58,14 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		bindings := c1.Ret
 		if !c1.Elem.IsEmpty() {
 			bindings = e.Union(c1.Ret, c1.Elem)
+		}
+		if bindings.IsEmpty() {
+			// No iteration: the body must not run even once, or it
+			// would intern its constructed and rename tags.
+			return e.newUpdateSet()
+		}
+		if distributesOverBinding(n.Body, n.Var) {
+			return e.Update(g.Bind(n.Var, bindings.backCone(bindings.ends)), n.Body)
 		}
 		out := e.newUpdateSet()
 		for _, end := range bindings.Ends() {

@@ -65,6 +65,10 @@ echo "== perfbench self-test (separate module)"
 # self-test runs a minimal pass of every workload (~12 s).
 (cd perfbench && GOWORK=off GOPROXY=off go test .)
 
+echo "== perfbench vet (separate module)"
+# The root go vet ./... above never reaches perfbench's module either.
+(cd perfbench && GOWORK=off GOPROXY=off go vet .)
+
 echo "== bench smoke (compiled-schema + prepared-plan comparisons, 1 iteration)"
 # One iteration only — this proves the engine/phase and cold/warm
 # benchmarks still compile and run; BENCH_compiledschema.json and
