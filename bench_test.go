@@ -216,8 +216,8 @@ func BenchmarkConflictCheck(b *testing.B) {
 // against the retained map-based reference (internal/refcdag) on one
 // representative XMark pair, for the two phases the compiled-schema
 // refactor targets: DAG inference (query + update chains from scratch)
-// and the isolated conflict-check step. cmd/xqbench -compiled-bench
-// writes the same comparison to BENCH_compiledschema.json.
+// and the isolated conflict-check step. DESIGN.md §6 quotes its
+// numbers.
 func BenchmarkCompiledVsReference(b *testing.B) {
 	d := xmark.Schema()
 	v, _ := xmark.ViewByName("A3")
@@ -300,8 +300,8 @@ func BenchmarkEvaluator(b *testing.B) {
 // iteration, so every pair fingerprints, infers and conflict-checks
 // from scratch) against warm (one cache populated before the timer, so
 // every pair is a fingerprint-keyed lookup plus the per-request
-// admission recheck). cmd/xqbench -plan-bench writes the same
-// comparison, with per-request percentiles, to BENCH_plancache.json.
+// admission recheck). The same comparison over HTTP, with request
+// percentiles, is perfbench's xmark-cold and xmark-warm workloads.
 func BenchmarkPreparedVsCold(b *testing.B) {
 	d := xmark.Schema()
 	a := core.NewAnalyzer(d)
@@ -332,4 +332,41 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 			pass(b, opts)
 		}
 	})
+}
+
+// BenchmarkAuditOverhead measures what the runtime verdict audit costs
+// the request path: the independent pair q1×UB2 served by a public
+// Pool, bare against one that hands 1% of its Independent verdicts to
+// the audit lane. The lane's soundness on XMark is pinned separately
+// by TestAuditAgreesOnFaultFreeXMark in internal/server.
+func BenchmarkAuditOverhead(b *testing.B) {
+	s, err := ParseSchema(xmark.SchemaText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, _ := xmark.ViewByName("q1")
+	u, _ := xmark.UpdateByName("UB2")
+	q, upd := MustParseQuery(v.Text), MustParseUpdate(u.Text)
+	ctx := context.Background()
+	for _, arm := range []struct {
+		name string
+		rate float64
+	}{{"bare", 0}, {"audited", 0.01}} {
+		b.Run(arm.name, func(b *testing.B) {
+			p := NewPool(PoolOptions{AuditRate: arm.rate})
+			defer p.Close()
+			if r, err := p.Analyze(ctx, s, q, upd, Chains, Options{}); err != nil || !r.Independent {
+				b.Fatalf("warm-up: %+v, %v", r, err) // audits fire only on Independent
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Analyze(ctx, s, q, upd, Chains, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			p.Flush()
+		})
+	}
 }

@@ -5,19 +5,16 @@
 //	xqbench -fig 3c            view re-materialisation savings
 //	xqbench -fig 3d            R-benchmark scalability surface
 //	xqbench -fig all           everything
-//	xqbench -compiled-bench    dense compiled-schema engine vs the map
-//	                           reference; writes BENCH_compiledschema.json
-//	xqbench -plan-bench        warm prepared-plan serving vs cold
-//	                           analysis; writes BENCH_plancache.json
-//	xqbench -audit-bench       request-path overhead of the runtime
-//	                           verdict audit; writes BENCH_sentinel.json
 //
 // Flags tune the workload sizes; defaults regenerate the shapes of the
 // paper on laptop-scale inputs.
+//
+// Serving performance is measured elsewhere: end to end by
+// `bash perfbench/run.sh --workload W`, layer by layer by the
+// benchmarks in the repository root (`go test -run '^$' -bench . .`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,38 +36,10 @@ func main() {
 		dMs      = flag.String("d-ms", "1,5,10", "expression sizes m for 3d")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analysis run (0 = none; overruns count as dependent)")
 		maxNodes = flag.Int("max-nodes", 0, "CDAG node budget per analysis run (0 = default)")
-
-		compiledBench = flag.Bool("compiled-bench", false, "benchmark the dense compiled-schema engine against the map reference and exit")
-		benchPair     = flag.String("bench-pair", "A3:UB2", "view:update pair for -compiled-bench")
-		benchOut      = flag.String("bench-out", "BENCH_compiledschema.json", "output file for -compiled-bench ('' = stdout table only)")
-
-		planBench = flag.Bool("plan-bench", false, "benchmark warm prepared-plan serving against cold analysis over the full XMark matrix and exit")
-		planCold  = flag.Int("plan-cold-passes", 3, "cold matrix passes (fresh plan cache each) for -plan-bench")
-		planWarm  = flag.Int("plan-warm-passes", 19, "timed warm matrix passes (one shared cache) for -plan-bench")
-		planOut   = flag.String("plan-out", "BENCH_plancache.json", "output file for -plan-bench ('' = stdout table only)")
-
-		auditBench = flag.Bool("audit-bench", false, "benchmark request-path overhead of the runtime verdict audit and exit")
-		auditPair  = flag.String("audit-pair", "q1:UB2", "view:update pair for -audit-bench (an independent pair, so audits actually fire)")
-		auditRate  = flag.Float64("audit-rate", 0.01, "sample rate for -audit-bench")
-		auditReqs  = flag.Int("audit-requests", 2000, "requests per arm for -audit-bench")
-		auditOut   = flag.String("audit-out", "BENCH_sentinel.json", "output file for -audit-bench ('' = stdout table only)")
 	)
 	flag.Parse()
 	experiments.AnalysisTimeout = time.Duration(*timeout)
 	experiments.AnalysisLimits.MaxNodes = *maxNodes
-
-	if *compiledBench {
-		runCompiledBench(*benchPair, *benchOut)
-		return
-	}
-	if *planBench {
-		runPlanBench(*planCold, *planWarm, *planOut)
-		return
-	}
-	if *auditBench {
-		runAuditBench(*auditPair, *auditRate, *auditReqs, *auditOut)
-		return
-	}
 
 	run3a := *fig == "3a" || *fig == "all"
 	run3b := *fig == "3b" || *fig == "all"
@@ -103,95 +72,6 @@ func main() {
 	if run3d {
 		fmt.Println(experiments.RenderFigure3d(experiments.Figure3d(parseInts(*dNs), parseInts(*dMs))))
 	}
-}
-
-// runPlanBench measures warm prepared-plan serving against cold
-// analysis over the XMark matrix and writes the comparison as JSON —
-// the committed BENCH_plancache.json is regenerated this way.
-func runPlanBench(coldPasses, warmPasses int, out string) {
-	pb, err := experiments.MeasurePlanBench(coldPasses, warmPasses)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiments.RenderPlanBench(pb))
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(pb, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
-}
-
-// runCompiledBench measures the dense engine against the map-based
-// reference on one XMark pair and writes the comparison as JSON — the
-// committed BENCH_compiledschema.json is regenerated this way.
-func runCompiledBench(pair, out string) {
-	name := strings.SplitN(pair, ":", 2)
-	if len(name) != 2 {
-		fmt.Fprintf(os.Stderr, "xqbench: -bench-pair must be view:update, got %q\n", pair)
-		os.Exit(2)
-	}
-	cb, err := experiments.MeasureCompiledBench(name[0], name[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(2)
-	}
-	fmt.Print(experiments.RenderCompiledBench(cb))
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(cb, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
-}
-
-// runAuditBench measures request latency with and without the runtime
-// verdict audit lane and writes the comparison as JSON — the committed
-// BENCH_sentinel.json is regenerated this way.
-func runAuditBench(pair string, rate float64, requests int, out string) {
-	name := strings.SplitN(pair, ":", 2)
-	if len(name) != 2 {
-		fmt.Fprintf(os.Stderr, "xqbench: -bench-pair must be view:update, got %q\n", pair)
-		os.Exit(2)
-	}
-	ab, err := experiments.MeasureAuditBench(name[0], name[1], rate, requests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(2)
-	}
-	fmt.Print(experiments.RenderAuditBench(ab))
-	if ab.Audits.Disagreements > 0 {
-		fmt.Fprintln(os.Stderr, "xqbench: SOUNDNESS VIOLATION: audit disagreements on a fault-free run")
-		os.Exit(1)
-	}
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(ab, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
 }
 
 func parseInts(s string) []int {

@@ -16,6 +16,7 @@ import (
 	"xqindep/internal/dtd"
 	"xqindep/internal/eval"
 	"xqindep/internal/guard"
+	"xqindep/internal/infer"
 	"xqindep/internal/pathanalysis"
 	"xqindep/internal/rbench"
 	"xqindep/internal/typeanalysis"
@@ -35,7 +36,9 @@ var (
 	AnalysisLimits  guard.Limits
 )
 
-// chainVerdict runs the CDAG analysis under the package budget.
+// chainVerdict runs the CDAG analysis under the package budget. A run
+// that overruns it still reports the pair's k: multiplicity is
+// syntactic (Table 3), so it is defined even when inference aborts.
 func chainVerdict(d *dtd.DTD, q xquery.Query, u xquery.Update) cdag.Verdict {
 	ctx := context.Background() //xqvet:ignore ctxflow experiments run standalone off package-level knobs; there is no caller context
 	if AnalysisTimeout > 0 {
@@ -46,7 +49,7 @@ func chainVerdict(d *dtd.DTD, q xquery.Query, u xquery.Update) cdag.Verdict {
 	b := guard.New(ctx, AnalysisLimits)
 	var v cdag.Verdict
 	if err := guard.Do(func() { v = cdag.IndependenceBudget(d, q, u, b) }); err != nil {
-		return cdag.Verdict{Independent: false, Reasons: []string{fmt.Sprintf("budget exceeded: %v", err)}}
+		return cdag.Verdict{Independent: false, K: infer.KPair(q, u), Reasons: []string{fmt.Sprintf("budget exceeded: %v", err)}}
 	}
 	return v
 }

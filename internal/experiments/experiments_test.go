@@ -86,6 +86,20 @@ func TestFigure3aRuns(t *testing.T) {
 	t.Logf("\n%s", RenderFigure3a(rows))
 }
 
+// TestFigure3aKRangeOverBudget pins the k column when every chain
+// analysis overruns its node budget: k is syntactic, so the aborted
+// runs must still report it instead of pulling the range down to 0.
+func TestFigure3aKRangeOverBudget(t *testing.T) {
+	saved := AnalysisLimits.MaxNodes
+	AnalysisLimits.MaxNodes = 200
+	t.Cleanup(func() { AnalysisLimits.MaxNodes = saved })
+	for _, r := range Figure3a() {
+		if r.KMin < 1 || r.KMin > r.KMax {
+			t.Errorf("%s: k range %d-%d under a 200-node budget", r.Update, r.KMin, r.KMax)
+		}
+	}
+}
+
 func TestFigure3cRuns(t *testing.T) {
 	rows := Figure3c([]float64{0.5, 1})
 	if len(rows) != 2 {

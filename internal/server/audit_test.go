@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"xqindep/internal/core"
 	"xqindep/internal/faultinject"
 	"xqindep/internal/quarantine"
 	"xqindep/internal/sentinel"
+	"xqindep/internal/xmark"
 )
 
 func TestMemoryWatermarkSheds(t *testing.T) {
@@ -58,6 +60,45 @@ func auditServer(t *testing.T, qcfg quarantine.Config) (*Server, *sentinel.Audit
 		aud.Close()
 	})
 	return s, aud, reg
+}
+
+// TestAuditAgreesOnFaultFreeXMark is the audit lane's soundness smoke
+// on the paper's own workload: with every Independent verdict audited
+// (shadow re-derivation plus oracle replay on generated XMark
+// documents) a fault-free run must produce only agreements and leave
+// the schema clean. The dependent pair checks that only Independent
+// verdicts are audited.
+func TestAuditAgreesOnFaultFreeXMark(t *testing.T) {
+	s, aud, reg := auditServer(t, quarantine.Config{Backoff: time.Hour})
+	a := core.NewAnalyzer(xmark.Schema())
+	fp := a.D.Fingerprint()
+
+	pairs := [][2]string{{"q1", "UB2"}, {"q4", "UB2"}, {"q2", "UA1"}, {"q3", "UI1"}, {"q1", "UP1"}, {"q7", "UA1"}}
+	independent := 0
+	for _, p := range pairs {
+		v, _ := xmark.ViewByName(p[0])
+		u, _ := xmark.UpdateByName(p[1])
+		task := Task{Analyzer: a, Query: v.AST, Update: u.AST, Method: core.MethodChains, QueryText: p[0], UpdateText: p[1]}
+		res, err := s.Do(context.Background(), task)
+		if err != nil || res.Degraded {
+			t.Fatalf("%s×%s: %+v, %v", p[0], p[1], res, err)
+		}
+		if res.Independent {
+			independent++
+		}
+	}
+	if independent != len(pairs)-1 {
+		t.Fatalf("%d of %d pairs independent, want all but q7×UA1", independent, len(pairs))
+	}
+	aud.Flush()
+
+	st := aud.Stats()
+	if st.Disagreements != 0 || st.Agreements != int64(independent) {
+		t.Fatalf("audit stats after %d independent verdicts: %+v", independent, st)
+	}
+	if got := reg.State(fp); got != "clean" {
+		t.Fatalf("fault-free run left the schema %s", got)
+	}
 }
 
 func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {

@@ -69,19 +69,11 @@ echo "== perfbench vet (separate module)"
 # The root go vet ./... above never reaches perfbench's module either.
 (cd perfbench && GOWORK=off GOPROXY=off go vet .)
 
-echo "== bench smoke (compiled-schema + prepared-plan comparisons, 1 iteration)"
-# One iteration only — this proves the engine/phase and cold/warm
-# benchmarks still compile and run; BENCH_compiledschema.json and
-# BENCH_plancache.json are regenerated by `go run ./cmd/xqbench
-# -compiled-bench` / `-plan-bench`, not here.
-go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold' -benchtime 1x .
-
-echo "== plan-cache smoke (1 cold / 2 warm matrix passes)"
-# A tiny -plan-bench run proves the measurement end to end, including
-# its built-in cold/warm verdict equality check over the full 36×31
-# matrix (the committed BENCH_plancache.json uses the full pass
-# counts; two warm passes are too few to gate percentiles on).
-go run ./cmd/xqbench -plan-bench -plan-cold-passes 1 -plan-warm-passes 2 -plan-out ''
+echo "== bench smoke (compiled-schema, prepared-plan and audit comparisons, 1 iteration)"
+# One iteration only — this proves the engine/phase, cold/warm and
+# bare/audited benchmarks still compile and run. The numbers DESIGN.md
+# quotes come from -count 5 runs; end-to-end numbers from perfbench.
+go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold|BenchmarkAuditOverhead' -benchtime 1x .
 
 echo "== chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # A second, differently-seeded pass over the serving layer's chaos
@@ -104,13 +96,6 @@ echo "== crash-recovery chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # default-seed 200-run suite already ran above).
 CHAOS_SEED="${CHAOS_SEED:-424242}" CHAOS_RUNS="${CHAOS_RUNS:-60}" \
   go test ./internal/statefile -race -count=1 -run 'TestCrashChaos'
-
-echo "== audit-overhead smoke (200 requests per arm)"
-# A tiny run proves the benchmark still works end to end; the
-# committed BENCH_sentinel.json is regenerated by
-# `go run ./cmd/xqbench -audit-bench`, not here (percentiles from 200
-# requests are too noisy to gate on).
-go run ./cmd/xqbench -audit-bench -audit-requests 200 -audit-out ''
 
 echo "== metricz smoke (boot daemon, scrape, check families)"
 # Boot the real daemon and scrape /metricz once: proves the ops
